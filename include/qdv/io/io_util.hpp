@@ -40,9 +40,6 @@ enum class XferResult {
 /// EINTR; @p site tags the transfer for fault injection.
 XferResult send_full(int fd, const void* src, std::size_t n, fault::Site site);
 
-/// recv() exactly @p n bytes, same contract.
-XferResult recv_full(int fd, void* dst, std::size_t n, fault::Site site);
-
 /// One recv() of at most @p cap bytes — line-oriented protocols read in
 /// chunks and scan for the delimiter themselves. On kOk, @p got holds the
 /// chunk size (> 0); kClosed covers orderly shutdown and hard errors.

@@ -27,10 +27,6 @@
 #include "core/selection.hpp"
 #include "core/statistics.hpp"
 
-namespace qdv::dist {
-class Coordinator;
-}
-
 namespace qdv::svc {
 
 /// Admission classes, strongest first: a queued interactive request always
@@ -88,10 +84,9 @@ struct Request {
 
   /// Time budget from submission, milliseconds; 0 = none. The deadline
   /// propagates through the queue: a flight whose deadline passes before
-  /// dispatch — or whose distributed merge finishes past it — resolves
-  /// kDeadlineExpired instead of wasting an evaluation (a result already
-  /// computed locally is still returned). Coalesced attaches keep the
-  /// leader's deadline.
+  /// dispatch resolves kDeadlineExpired instead of wasting an evaluation
+  /// (a result already computed is still returned). Coalesced attaches
+  /// keep the leader's deadline.
   std::uint64_t deadline_ms = 0;
 };
 
@@ -268,29 +263,6 @@ struct ServiceStats {
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
 
-  // Distributed scatter/gather (all zero unless a dist::Coordinator is
-  // attached — see QueryService::set_distributor()). Mirrors
-  // dist::DistStats, plus the service-side fallback counter.
-  std::uint64_t dist_workers = 0;          // workers ever attached
-  std::uint64_t dist_alive = 0;            // workers currently live
-  std::uint64_t dist_queries = 0;          // scatter/gather executions
-  std::uint64_t dist_scatters = 0;         // shard sub-requests sent
-  std::uint64_t dist_gathers = 0;          // partial results merged
-  std::uint64_t dist_retries = 0;          // bounded per-worker retries
-  std::uint64_t dist_reshards = 0;         // windows reassigned after deaths
-  std::uint64_t dist_deaths = 0;           // workers declared dead
-  std::uint64_t dist_remote_errors = 0;    // query-level worker errors
-  std::uint64_t dist_local_fallbacks = 0;  // flights that fell back local
-  /// Per-worker scatter/failure/retry counters (name = socket filename).
-  struct DistWorker {
-    std::string name;
-    bool alive = true;
-    std::uint64_t requests = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t retries = 0;
-  };
-  std::vector<DistWorker> dist_per_worker;
-
   /// Fraction of accepted requests served without their own evaluation
   /// (in-flight attach or result-cache hit).
   double coalesce_rate() const {
@@ -344,16 +316,6 @@ class QueryService {
 
   /// Block until no request is queued or executing.
   void drain();
-
-  /// Attach a distributed-execution coordinator: decomposable requests
-  /// (counts, ids, uniform-bin histograms) scatter across its worker
-  /// processes and merge bit-identically; everything else — and any flight
-  /// the coordinator cannot serve (all workers dead) — runs on the local
-  /// engine. Admission, coalescing, and result caching are unchanged: the
-  /// distributed path only replaces the evaluation inside a flight, keyed
-  /// by the same canonical plan. Pass nullptr to detach.
-  void set_distributor(std::shared_ptr<dist::Coordinator> coordinator);
-  std::shared_ptr<dist::Coordinator> distributor() const;
 
   ServiceStats stats() const;
   const core::Engine& engine() const;

@@ -4,26 +4,22 @@
 # fig12 conditional histograms, and the fig14/15 parallel histogram batch.
 # When the build contains qdv_tool, also runs the seeded `bombard` workload
 # against an in-process query service and writes BENCH_service.json
-# (p50/p95/p99 request latency + server coalescing counters). The
-# distributed sweep (1/2/4 real worker processes behind the coordinator,
-# results verified bit-identical to the local engine) lands in
-# BENCH_distributed.json, and the zoom/pan pyramid workload (every request
-# differentially verified pyramid-vs-exact before timing) in
-# BENCH_pyramid.json.
+# (p50/p95/p99 request latency + server coalescing counters). The zoom/pan
+# pyramid workload (every request differentially verified pyramid-vs-exact
+# before timing) lands in BENCH_pyramid.json.
 #
-#   scripts/run_benchmarks.sh <build-dir> [kernels.json] [service.json] [distributed.json] [pyramid.json] [brush.json]
+#   scripts/run_benchmarks.sh <build-dir> [kernels.json] [service.json] [pyramid.json] [brush.json]
 #
 # Sizes scale via the usual QDV_BENCH_* environment variables; CI's smoke
 # job runs with tiny sizes (the benchmarks assert kernel/reference result
 # equality regardless of size, so the smoke run still verifies correctness).
 set -euo pipefail
 
-build_dir=${1:?usage: run_benchmarks.sh <build-dir> [kernels.json] [service.json] [distributed.json] [pyramid.json] [brush.json]}
+build_dir=${1:?usage: run_benchmarks.sh <build-dir> [kernels.json] [service.json] [pyramid.json] [brush.json]}
 output=${2:-BENCH_kernels.json}
 service_output=${3:-BENCH_service.json}
-dist_output=${4:-BENCH_distributed.json}
-pyramid_output=${5:-BENCH_pyramid.json}
-brush_output=${6:-BENCH_brush.json}
+pyramid_output=${4:-BENCH_pyramid.json}
+brush_output=${5:-BENCH_brush.json}
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -106,17 +102,4 @@ if [ -x "$build_dir/qdv_tool" ]; then
   echo "[run_benchmarks] wrote $brush_output" >&2
 else
   echo "[run_benchmarks] no qdv_tool in $build_dir: skipping service bench" >&2
-fi
-
-# Distributed sweep: 1/2/4 worker processes behind the coordinator, every
-# merged result checked bit-identical against the local engine before it
-# is timed. The JSON rows carry both honest wall seconds and the makespan
-# model (per-shard worker CPU seconds); host_cpus in each row says which
-# regime the wall numbers came from.
-if [ -x "$build_dir/bench_distributed" ]; then
-  run distributed "$build_dir/bench_distributed"
-  cp "$tmpdir/distributed.json" "$dist_output"
-  echo "[run_benchmarks] wrote $dist_output" >&2
-else
-  echo "[run_benchmarks] no bench_distributed in $build_dir: skipping distributed bench" >&2
 fi

@@ -170,24 +170,27 @@ std::shared_ptr<const BitVector> Brush::bits(const Snapshot& snap,
       auto bits = std::static_pointer_cast<const BitVector>(cached);
       for (const Op& op : deltas) {
         switch (op.kind) {
-          case Op::Kind::kRefine:
-            bits = std::make_shared<const BitVector>(*bits &
-                                                     *op.operand.bits(t));
+          case Op::Kind::kRefine: {
+            const auto other = op.operand.bits(t);
+            bits = std::make_shared<const BitVector>(*bits & *other);
             break;
+          }
           case Op::Kind::kInvert:
             bits = std::make_shared<const BitVector>(~*bits);
             break;
           case Op::Kind::kCombine: {
-            const BitVector& other = *op.operand.bits(t);
+            // Hold the pin: under a tight budget the returned pointer may be
+            // the operand's only owner.
+            const auto other = op.operand.bits(t);
             switch (op.combine_op) {
               case CombineOp::kAnd:
-                bits = std::make_shared<const BitVector>(*bits & other);
+                bits = std::make_shared<const BitVector>(*bits & *other);
                 break;
               case CombineOp::kOr:
-                bits = std::make_shared<const BitVector>(*bits | other);
+                bits = std::make_shared<const BitVector>(*bits | *other);
                 break;
               case CombineOp::kAndNot:
-                bits = std::make_shared<const BitVector>(*bits & ~other);
+                bits = std::make_shared<const BitVector>(*bits & ~*other);
                 break;
             }
             break;

@@ -19,6 +19,17 @@ const char* op_text(CompareOp op) {
   }
   return "?";
 }
+
+/// "(a <op> b)", appended in place: the `"(" + ...` operator chain trips a
+/// GCC 12 -Wrestrict false positive.
+std::string parenthesize(const Query& a, const char* op, const Query& b) {
+  std::string out = "(";
+  out += a.to_string();
+  out += op;
+  out += b.to_string();
+  out += ')';
+  return out;
+}
 }  // namespace
 
 std::string format_double(double v) {
@@ -78,11 +89,11 @@ std::string IdInQuery::to_string() const {
 }
 
 std::string AndQuery::to_string() const {
-  return "(" + a_->to_string() + " && " + b_->to_string() + ")";
+  return parenthesize(*a_, " && ", *b_);
 }
 
 std::string OrQuery::to_string() const {
-  return "(" + a_->to_string() + " || " + b_->to_string() + ")";
+  return parenthesize(*a_, " || ", *b_);
 }
 
 std::string NotQuery::to_string() const { return "!(" + a_->to_string() + ")"; }

@@ -408,15 +408,6 @@ std::string format_stats_line(const ServiceStats& s) {
         << " brush_full=" << s.brush_full_evals
         << " brush_bytes=" << s.brush_bytes
         << " brush_stale=" << s.brush_stale_hits;
-  if (s.dist_workers > 0)
-    out << " dist_workers=" << s.dist_workers << " dist_alive=" << s.dist_alive
-        << " dist_queries=" << s.dist_queries
-        << " dist_scatters=" << s.dist_scatters
-        << " dist_gathers=" << s.dist_gathers
-        << " dist_retries=" << s.dist_retries
-        << " dist_reshards=" << s.dist_reshards
-        << " dist_deaths=" << s.dist_deaths
-        << " dist_fallbacks=" << s.dist_local_fallbacks;
   return out.str();
 }
 

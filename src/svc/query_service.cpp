@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "core/selection.hpp"
-#include "dist/coordinator.hpp"
 #include "io/memory_budget.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -61,39 +60,6 @@ std::uint64_t histogram1d_bytes(const Histogram1D& h) {
 
 std::uint64_t histogram2d_bytes(const Histogram2D& h) {
   return (h.counts.size() + h.xbins.edges().size() + h.ybins.edges().size()) * 8;
-}
-
-/// True when @p r decomposes into shard partials that merge bit-identically
-/// to local execution: counts and ids always do; histograms only under
-/// uniform binning (adaptive bins depend on the selected value
-/// distribution, which no shard sees in full). Summaries stay local (their
-/// floating-point moments are not order-independent).
-bool distributable(const Request& r) {
-  switch (r.kind) {
-    case RequestKind::kCount:
-    case RequestKind::kIds:
-      return true;
-    case RequestKind::kHistogram1D:
-    case RequestKind::kHistogram2D:
-      return r.binning == BinningMode::kUniform;
-    case RequestKind::kSummary:
-      return false;
-    case RequestKind::kZoom1D:
-    case RequestKind::kZoom2D:
-      // Zooms stay local: the pyramid serve is O(visible bins) on resident
-      // levels, so scattering it would cost more than answering it.
-      return false;
-  }
-  return false;
-}
-
-dist::ShardKind shard_kind(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kIds: return dist::ShardKind::kBits;
-    case RequestKind::kHistogram1D: return dist::ShardKind::kHist1;
-    case RequestKind::kHistogram2D: return dist::ShardKind::kHist2;
-    default: return dist::ShardKind::kCount;
-  }
 }
 
 /// Brush names travel the wire as bare tokens and become cache-key and
@@ -198,11 +164,6 @@ struct QueryService::Impl {
   std::size_t active_workers = 0;
   std::uint64_t exec_ordinal = 0;  // dispatch order, exposed as Result::sequence
 
-  // Distributed execution (optional). The handle is read per flight under
-  // the mutex; the coordinator itself is internally synchronized.
-  std::shared_ptr<dist::Coordinator> distributor_handle;
-  std::uint64_t dist_local_fallbacks = 0;
-
   // Shared delta-vs-full evaluation counters, aggregated across every brush
   // this service creates (core::Brush increments them lock-free).
   std::shared_ptr<core::Brush::Counters> brush_counters =
@@ -282,81 +243,12 @@ struct QueryService::Impl {
     return nullptr;
   }
 
-  /// Distributed twin of the local evaluation switch. True when the
-  /// coordinator produced @p r (a merged result or a remote query error);
-  /// false to fall back to the local engine — the caller is still owed an
-  /// answer when every worker is gone.
-  bool run_distributed(const Flight& flight, dist::Coordinator& coordinator,
-                       Result& r) {
-    const Request& req = flight.request;
-    try {
-      const std::string query_text =
-          flight.selection->selects_all()
-              ? std::string()
-              : flight.selection->query()->to_string();
-      dist::GatherResult g =
-          coordinator.execute(shard_kind(req.kind), req.timestep, query_text,
-                              req.var_x, req.var_y, req.nxbins, req.nybins);
-      if (!g.ok) {
-        r.status = Status::kError;
-        r.error = g.error;
-        return true;
-      }
-      if (flight.deadline && Clock::now() > *flight.deadline) {
-        // The scatter/gather (worker retries included) outran the time
-        // budget: the merged answer is stale to its requester.
-        r = Result{};
-        r.kind = req.kind;
-        r.status = Status::kDeadlineExpired;
-        r.error = "deadline expired during distributed merge";
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.deadline_expired;
-        return true;
-      }
-      switch (req.kind) {
-        case RequestKind::kCount:
-          r.count = g.count;
-          r.payload_bytes = 8;
-          break;
-        case RequestKind::kIds:
-          r.ids = std::move(g.ids);
-          r.count = r.ids.size();
-          r.payload_bytes = r.ids.size() * 8;
-          break;
-        case RequestKind::kHistogram1D:
-          r.hist1d = std::move(g.hist1d);
-          r.count = g.count;
-          r.payload_bytes = histogram1d_bytes(r.hist1d);
-          break;
-        case RequestKind::kHistogram2D:
-          r.hist2d = std::move(g.hist2d);
-          r.count = g.count;
-          r.payload_bytes = histogram2d_bytes(r.hist2d);
-          break;
-        case RequestKind::kSummary:
-        case RequestKind::kZoom1D:
-        case RequestKind::kZoom2D:
-          return false;  // never distributed (see distributable())
-      }
-      return true;
-    } catch (const std::exception&) {
-      // NoLiveWorkers, or any coordinator-side infrastructure failure:
-      // answer from the local engine instead.
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    ++dist_local_fallbacks;
-    return false;
-  }
-
   std::shared_ptr<Result> run_flight(const Flight& flight) {
     auto r = std::make_shared<Result>();
     r->kind = flight.request.kind;
     const Clock::time_point start = Clock::now();
 
     if (flight.brush) {
-      // Brush flights never distribute: the whole point is the local delta
-      // path against the cached parent bitvector (a remote worker re-parsing
-      // the composed text would execute from scratch every time).
       try {
         const Request& req = flight.request;
         core::Brush& b = *flight.brush;
@@ -398,17 +290,6 @@ struct QueryService::Impl {
         r->status = Status::kError;
         r->error = e.what();
       }
-      r->exec_seconds = seconds_since(start, Clock::now());
-      return r;
-    }
-
-    std::shared_ptr<dist::Coordinator> coordinator;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      coordinator = distributor_handle;
-    }
-    if (coordinator && distributable(flight.request) &&
-        run_distributed(flight, *coordinator, *r)) {
       r->exec_seconds = seconds_since(start, Clock::now());
       return r;
     }
@@ -1036,17 +917,6 @@ void QueryService::drain() {
   });
 }
 
-void QueryService::set_distributor(
-    std::shared_ptr<dist::Coordinator> coordinator) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->distributor_handle = std::move(coordinator);
-}
-
-std::shared_ptr<dist::Coordinator> QueryService::distributor() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->distributor_handle;
-}
-
 ServiceStats QueryService::stats() const {
   std::unique_lock<std::mutex> lock(impl_->mutex);
   ServiceStats s = impl_->counters;
@@ -1063,32 +933,13 @@ ServiceStats QueryService::stats() const {
   s.brush_full_evals =
       impl_->brush_counters->full_evals.load(std::memory_order_relaxed);
   s.max_seconds = impl_->latency_max;
-  s.dist_local_fallbacks = impl_->dist_local_fallbacks;
   const io::IntegrityStats& integ = *impl_->engine.dataset().integrity_stats();
   s.integrity_verified = integ.verified.load(std::memory_order_relaxed);
   s.integrity_failures = integ.failures.load(std::memory_order_relaxed);
   s.integrity_demotions = integ.demotions.load(std::memory_order_relaxed);
   s.integrity_unverified = integ.unverified.load(std::memory_order_relaxed);
-  const std::shared_ptr<dist::Coordinator> coordinator =
-      impl_->distributor_handle;
   std::vector<double> sorted = impl_->latencies;
   lock.unlock();
-  if (coordinator) {
-    const dist::DistStats d = coordinator->stats();
-    s.dist_workers = d.workers;
-    s.dist_alive = d.alive;
-    s.dist_queries = d.queries;
-    s.dist_scatters = d.scatters;
-    s.dist_gathers = d.gathers;
-    s.dist_retries = d.retries;
-    s.dist_reshards = d.reshards;
-    s.dist_deaths = d.deaths;
-    s.dist_remote_errors = d.remote_errors;
-    s.dist_per_worker.reserve(d.per_worker.size());
-    for (const dist::WorkerCounters& w : d.per_worker)
-      s.dist_per_worker.push_back(
-          {w.name, w.alive, w.requests, w.failures, w.retries});
-  }
   std::sort(sorted.begin(), sorted.end());
   s.p50_seconds = sorted_percentile(sorted, 0.50);
   s.p95_seconds = sorted_percentile(sorted, 0.95);

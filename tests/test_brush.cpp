@@ -5,10 +5,12 @@
 // accounting incl. history-outrun fallback and pinned-snapshot stability,
 // (3) memory-budget accounting of materialized brush slots, (4) a
 // property fuzz over random edit/query interleavings (QDV_FUZZ_ITERS for
-// deep runs), (5) four concurrent editor/reader threads (TSan-covered by
-// the sanitizer CI job), and (6) a stale-cache probe through
-// svc::QueryService — edit-then-requery must never serve the pre-edit
-// cached result, and the brush_stale tripwire must stay zero.
+// deep runs), (5) combine deltas under a budget smaller than the operand
+// bitvector (the ASan job catches an unpinned operand), (6) four
+// concurrent editor/reader threads (TSan-covered by the sanitizer CI
+// job), and (7) a stale-cache probe through svc::QueryService —
+// edit-then-requery must never serve the pre-edit cached result, and the
+// brush_stale tripwire must stay zero.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -227,6 +229,49 @@ void test_fuzz_edit_sequences() {
   }
 }
 
+void test_combine_under_tiny_budget() {
+  // The operand bitvector is bigger than the whole budget, so the engine
+  // evicts it on insertion and the delta path holds its only pin. The empty
+  // parent slot fits, so each combine below is answered as a delta. The
+  // brushed engine scans: the index path pins each index directory in the
+  // budget, which alone would exceed it and evict the parent slot.
+  constexpr std::uint64_t kBudget = 64;
+  const std::filesystem::path dir = fuzz::write_random_dataset(
+      "brush_tiny_budget", /*timesteps=*/1, /*rows=*/4000, /*seed=*/0x7e57u,
+      /*index_bins=*/24);
+  io::OpenOptions options = io::default_open_options();
+  options.budget_bytes = kBudget;
+  const core::Engine engine(io::Dataset::open(dir, options), EvalMode::kScan);
+  const core::Engine oracle(io::Dataset::open(dir), EvalMode::kScan);
+  const QueryPtr other_q = parse_query("b <= 0");
+  CHECK(oracle.select(other_q).bits(0)->memory_bytes() > kBudget);
+
+  auto counters = std::make_shared<core::Brush::Counters>();
+  core::Brush brush(engine.select("a > 1000"), counters);  // empty
+  core::Brush other(engine.select(other_q), counters);
+  QueryPtr expected = parse_query("a > 1000");
+  CHECK_EQ(brush.count(brush.snapshot(), 0), 0u);
+  CHECK(brush.resident_bytes() > 0u);  // the parent slot stayed resident
+
+  const auto check_delta = [&] {
+    const std::uint64_t deltas = counters->delta_evals.load();
+    CHECK(brush.bits(brush.snapshot(), 0)->to_positions() ==
+          oracle.select(expected).bits(0)->to_positions());
+    CHECK_EQ(counters->delta_evals.load(), deltas + 1);
+  };
+  // Empty results keep the parent slot small, so kOr (whose result is the
+  // big operand) goes last.
+  brush.combine(other, core::Brush::CombineOp::kAnd);
+  expected = Query::land(expected, other_q);
+  check_delta();
+  brush.combine(other, core::Brush::CombineOp::kAndNot);
+  expected = Query::land(expected, Query::lnot(other_q));
+  check_delta();
+  brush.combine(other, core::Brush::CombineOp::kOr);
+  expected = Query::lor(expected, other_q);
+  check_delta();
+}
+
 void test_concurrent_editors_and_readers() {
   // Two editors mutate one shared brush while two readers pin snapshots
   // and evaluate them: every answer must match an independent execution of
@@ -375,6 +420,7 @@ int main() {
   test_delta_vs_full_accounting();
   test_budget_accounting();
   test_fuzz_edit_sequences();
+  test_combine_under_tiny_budget();
   test_concurrent_editors_and_readers();
   test_service_stale_cache_probe();
   if (qdv::test::failures == 0) std::puts("test_brush: all checks passed");

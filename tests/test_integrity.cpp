@@ -146,7 +146,7 @@ void test_fault_injector() {
   CHECK(fault::configure("seed:7,spec:file.flip@1.0", &error));
   CHECK(fault::enabled());
   CHECK(fault::roll(fault::Site::kFile, fault::Kind::kBitFlip));
-  CHECK(!fault::roll(fault::Site::kWire, fault::Kind::kBitFlip));  // other site
+  CHECK(!fault::roll(fault::Site::kSvc, fault::Kind::kBitFlip));   // other site
   CHECK(!fault::roll(fault::Site::kFile, fault::Kind::kEintr));    // other kind
   const std::uint64_t d1 = fault::draw();
   const std::uint64_t d2 = fault::draw();

@@ -1,7 +1,7 @@
 // Deterministic fault injection (DESIGN.md §15): a seeded, schedule-driven
 // injector the low-level I/O helpers (io::io_util, svc sockets) consult on
-// every operation. Faults — short reads, EINTR, ENOSPC, bit-flips,
-// truncation, connection resets, latency spikes — fire with a configured
+// every operation. Faults — short reads, EINTR, bit-flips, truncation,
+// connection resets, latency spikes — fire with a configured
 // per-site probability drawn from one seeded xorshift stream, so
 // a failing chaos run replays exactly from its seed.
 //
@@ -15,7 +15,7 @@
 //   QDV_FAULT=seed:42,spec:file.flip@0.01,spec:svc.reset@0.005
 //
 // Sites: file (pread/mapped-file paths), svc (service socket lines).
-// Kinds: short, eintr, enospc, flip, trunc, reset, delay. Rates are
+// Kinds: short, eintr, flip, trunc, reset, delay. Rates are
 // probabilities in [0, 1].
 //
 // Thread-safety: all functions are safe from any thread; roll()/draw()
@@ -39,15 +39,14 @@ enum class Site : unsigned {
 enum class Kind : unsigned {
   kShortRead = 0,  // return fewer bytes than asked (loop must continue)
   kEintr = 1,      // simulated EINTR before the syscall (loop must retry)
-  kEnospc = 2,     // write fails with no-space
-  kBitFlip = 3,    // flip one bit in freshly transferred bytes
-  kTruncate = 4,   // premature EOF / connection half-close
-  kConnReset = 5,  // connection reset (socket sites)
-  kLatency = 6,    // injected delay before the operation
+  kBitFlip = 2,    // flip one bit in freshly transferred bytes
+  kTruncate = 3,   // premature EOF / connection half-close
+  kConnReset = 4,  // connection reset (socket sites)
+  kLatency = 5,    // injected delay before the operation
 };
 
 inline constexpr std::size_t kNumSites = 2;
-inline constexpr std::size_t kNumKinds = 7;
+inline constexpr std::size_t kNumKinds = 6;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;

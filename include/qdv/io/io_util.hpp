@@ -1,9 +1,10 @@
 // EINTR-retrying, short-transfer-looping wrappers around the raw POSIX I/O
-// calls (DESIGN.md §15). Every pread/read/write/send/recv in the library
-// goes through these — scripts/check_raw_io.sh lint-fails any new raw call
-// site — so interrupted syscalls and partial transfers are handled in
-// exactly one place, and the qdv::fault injector has one choke point per
-// site to perturb.
+// calls (DESIGN.md §15). Every pread/read/send/recv in the library goes
+// through these, and the library issues no raw write —
+// scripts/check_raw_io.sh lint-fails any new raw call site — so
+// interrupted syscalls and partial transfers are handled in exactly one
+// place, and the qdv::fault injector has one choke point per site to
+// perturb.
 //
 // File helpers throw std::runtime_error on hard errors; socket helpers
 // return status (peers legitimately vanish). All are thread-safe (no shared
@@ -24,10 +25,6 @@ std::size_t pread_full(int fd, void* dst, std::size_t n, std::uint64_t offset);
 
 /// read() the next @p n bytes, same contract as pread_full.
 std::size_t read_full(int fd, void* dst, std::size_t n);
-
-/// write exactly @p n bytes; throws std::runtime_error (including on
-/// injected ENOSPC) when the file cannot absorb them.
-void write_full(int fd, const void* src, std::size_t n);
 
 /// Outcome of a socket transfer.
 enum class XferResult {

@@ -40,6 +40,9 @@ class Image {
   /// Opaque write.
   void set(std::ptrdiff_t x, std::ptrdiff_t y, const Color& color);
 
+  /// The r, g, b floats of pixel (x, y), unchecked: x < width, y < height.
+  float* pixel(std::size_t x, std::size_t y) { return &rgb_[(y * width_ + x) * 3]; }
+
   /// Anti-aliasing-free line segment with additive blending.
   void draw_line(double x0, double y0, double x1, double y1, const Color& color,
                  float alpha);

@@ -45,7 +45,6 @@ bool parse_site(const std::string& text, Site& out) {
 bool parse_kind(const std::string& text, Kind& out) {
   if (text == "short") out = Kind::kShortRead;
   else if (text == "eintr") out = Kind::kEintr;
-  else if (text == "enospc") out = Kind::kEnospc;
   else if (text == "flip") out = Kind::kBitFlip;
   else if (text == "trunc") out = Kind::kTruncate;
   else if (text == "reset") out = Kind::kConnReset;
@@ -188,7 +187,6 @@ const char* kind_name(Kind kind) {
   switch (kind) {
     case Kind::kShortRead: return "short";
     case Kind::kEintr: return "eintr";
-    case Kind::kEnospc: return "enospc";
     case Kind::kBitFlip: return "flip";
     case Kind::kTruncate: return "trunc";
     case Kind::kConnReset: return "reset";

@@ -89,40 +89,22 @@ std::size_t read_full(int fd, void* dst, std::size_t n) {
   return total;
 }
 
-void write_full(int fd, const void* src, std::size_t n) {
-  const auto* in = static_cast<const char*>(src);
-  std::size_t total = 0;
-  while (total < n) {
-    if (fault::enabled()) {
-      maybe_delay(fault::Site::kFile);
-      if (fault::roll(fault::Site::kFile, fault::Kind::kEintr)) continue;
-      if (fault::roll(fault::Site::kFile, fault::Kind::kEnospc)) {
-        errno = ENOSPC;
-        throw_errno("write failed");
-      }
-    }
-    const ssize_t put = ::write(fd, in + total, n - total);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write failed");
-    }
-    total += static_cast<std::size_t>(put);
-  }
-}
-
 XferResult send_full(int fd, const void* src, std::size_t n,
                      fault::Site site) {
   const auto* in = static_cast<const char*>(src);
   std::size_t total = 0;
   while (total < n) {
+    std::size_t ask = n - total;
     if (fault::enabled()) {
       maybe_delay(site);
       if (fault::roll(site, fault::Kind::kEintr)) continue;
       if (fault::roll(site, fault::Kind::kConnReset) ||
           fault::roll(site, fault::Kind::kTruncate))
         return XferResult::kClosed;
+      if (ask > 1 && fault::roll(site, fault::Kind::kShortRead))
+        ask = 1 + ask / 2;
     }
-    const ssize_t put = ::send(fd, in + total, n - total, MSG_NOSIGNAL);
+    const ssize_t put = ::send(fd, in + total, ask, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return XferResult::kTimeout;
@@ -137,14 +119,17 @@ XferResult recv_some(int fd, void* dst, std::size_t cap, fault::Site site,
                      std::size_t& got) {
   got = 0;
   for (;;) {
+    std::size_t ask = cap;
     if (fault::enabled()) {
       maybe_delay(site);
       if (fault::roll(site, fault::Kind::kEintr)) continue;
       if (fault::roll(site, fault::Kind::kConnReset) ||
           fault::roll(site, fault::Kind::kTruncate))
         return XferResult::kClosed;
+      if (ask > 1 && fault::roll(site, fault::Kind::kShortRead))
+        ask = 1 + ask / 2;
     }
-    const ssize_t n = ::recv(fd, dst, cap, 0);
+    const ssize_t n = ::recv(fd, dst, ask, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return XferResult::kTimeout;

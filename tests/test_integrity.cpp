@@ -163,6 +163,10 @@ void test_fault_injector() {
   CHECK(!fault::configure("spec:bogus", &error));
   CHECK(!error.empty());
   CHECK(fault::enabled());
+  // A kind that no I/O path rolls is not accepted either.
+  error.clear();
+  CHECK(!fault::configure("spec:file.enospc@1", &error));
+  CHECK(!error.empty());
 
   fault::reset();
   CHECK(!fault::enabled());

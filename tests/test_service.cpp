@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/selection.hpp"
+#include "fault/fault.hpp"
 #include "fuzz_common.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/wakefield.hpp"
@@ -468,6 +469,49 @@ void test_socket_server_end_to_end() {
   CHECK(!std::filesystem::exists(server.socket_path()));
 }
 
+/// Response lines of @p requests sent through a fresh service and socket,
+/// without the trailing exec_us= timing.
+std::vector<std::string> socket_answers(const std::vector<std::string>& requests) {
+  svc::QueryService service{core::Engine::open(dataset_dir())};
+  svc::SocketServer server(
+      service, qdv::test::scratch_dir("service_short") / "qdv.sock");
+  server.start();
+  std::vector<std::string> answers;
+  {
+    svc::SocketClient client(server.socket_path());
+    for (const std::string& request : requests) {
+      std::string line = client.request(request);
+      line = line.substr(0, line.find(" exec_us="));
+      answers.push_back(std::move(line));
+    }
+  }
+  server.stop();
+  return answers;
+}
+
+/// Short sends and receives on the service socket (svc.short) are looped
+/// over: the same requests get the same answers as without the fault.
+void test_socket_short_transfers() {
+  const std::vector<std::string> requests = {
+      "ping",
+      "count t=2 q=px > 1e9",
+      "ids t=2 limit=300 q=px > -1e300",
+      "hist2 t=4 x=x y=px bins=16 q=px > 1e9",
+      "sum t=3 x=px q=px > 1e9 || x < 0",
+  };
+  const std::vector<std::string> clean = socket_answers(requests);
+  std::string error;
+  CHECK(fault::configure("seed:11,spec:svc.short@0.5", &error));
+  const std::vector<std::string> faulted = socket_answers(requests);
+  const std::uint64_t fired =
+      fault::injected(fault::Site::kSvc, fault::Kind::kShortRead);
+  fault::reset();
+  CHECK(fired > 0);
+  CHECK(faulted == clean);
+  for (const std::string& answer : clean) CHECK_EQ(answer.rfind("ok ", 0), 0u);
+  CHECK(clean[2].find(",...") == std::string::npos);  // every id on one line
+}
+
 /// Brush verbs end-to-end over the wire: create/refine/invert/combine/drop
 /// round-trip with epoch-carrying responses, answers match the equivalent
 /// Selection, and every error class comes back as a typed `err` that
@@ -683,6 +727,7 @@ int main() {
   test_strict_numeric_field_parsing();
   test_protocol_version_handshake();
   test_socket_server_end_to_end();
+  test_socket_short_transfers();
   test_brush_wire_session();
   test_abrupt_disconnect_releases_session_state();
   test_malformed_query_text_probes();
